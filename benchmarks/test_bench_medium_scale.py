@@ -23,10 +23,11 @@ from __future__ import annotations
 import gc
 import random
 import time
-from typing import List, Tuple
+from typing import Tuple
 
 import pytest
 
+from repro.bench.traceid import trace_lines
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.geo.region import Region
 from repro.metrics.report import format_table
@@ -92,14 +93,6 @@ def _best_elapsed(n: int, batched: bool, ticks: int, repeats: int) -> float:
             gc.enable()
 
 
-def _trace_lines(sim: Simulator) -> List[str]:
-    """Canonical byte representation of the full trace stream."""
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
-
-
 def test_bench_medium_scale_throughput(bench_recorder):
     ticks = 20
     rows = []
@@ -152,7 +145,7 @@ def test_bench_medium_scale_equivalence(n, ticks):
     """Both engines must produce byte-identical traces on the scale world."""
     sim_batched, medium_batched, _ = _run_world(n, True, ticks)
     sim_reference, medium_reference, _ = _run_world(n, False, ticks)
-    assert _trace_lines(sim_batched) == _trace_lines(sim_reference)
+    assert trace_lines(sim_batched) == trace_lines(sim_reference)
     assert (
         medium_batched.contacts.total_contacts()
         == medium_reference.contacts.total_contacts()
@@ -168,7 +161,7 @@ def test_bench_medium_scale_smoke():
     sim_batched, medium_batched, _ = _run_world(48, True, ticks=6)
     sim_reference, _, _ = _run_world(48, False, ticks=6)
     assert medium_batched.tick_count == 7
-    assert _trace_lines(sim_batched) == _trace_lines(sim_reference)
+    assert trace_lines(sim_batched) == trace_lines(sim_reference)
 
 
 def test_bench_medium_default_study_trace_identical(study, study_result):
@@ -177,8 +170,8 @@ def test_bench_medium_default_study_trace_identical(study, study_result):
     assert study.config.medium_batched  # session fixture runs the new engine
     reference = GainesvilleStudy(ScenarioConfig(medium_batched=False))
     reference.run()
-    batched_lines = _trace_lines(study.sim)
-    reference_lines = _trace_lines(reference.sim)
+    batched_lines = trace_lines(study.sim)
+    reference_lines = trace_lines(reference.sim)
     assert batched_lines == reference_lines
     contact_lines = [line for line in batched_lines if "|contact|" in line]
     assert contact_lines  # the comparison actually covered contacts

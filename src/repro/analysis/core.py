@@ -69,6 +69,7 @@ DEFAULT_TOOL_GLOBS = (
     "tests/**/*",
     "benchmarks/*",
     "examples/*",
+    "perfbench/*",
     "setup.py",
 )
 

@@ -43,27 +43,6 @@ def _domain_metrics(result) -> Dict[str, float]:
     return out
 
 
-def _medium_metrics(medium) -> Dict[str, float]:
-    """Contact-tick cost, in units that survive a 1-core CI host.
-
-    ``medium_tick_cpu_s`` is parent-process CPU time inside the tick —
-    for the sharded engine that is the serialised section (merge +
-    link diff) which governs multi-core scaling, so
-    ``device_ticks_per_cpu_s`` is the tick-throughput figure the shard
-    benchmarks trend.
-    """
-    out: Dict[str, float] = {
-        "medium_engine_shards": float(medium.shards),
-        "medium_ticks": float(medium.tick_count),
-        "medium_tick_cpu_s": round(medium.tick_cpu_s, 6),
-    }
-    if medium.tick_cpu_s > 0.0:
-        out["device_ticks_per_cpu_s"] = round(
-            len(medium.devices) * medium.tick_count / medium.tick_cpu_s, 3
-        )
-    return out
-
-
 def run_point(config_overrides: Dict[str, Any], backend: Optional[str] = None):
     """Build + run one scenario under the sampler.
 
@@ -78,7 +57,7 @@ def run_point(config_overrides: Dict[str, Any], backend: Optional[str] = None):
         result = study.run()
     metrics = sampler.result.metrics()
     metrics.update(_domain_metrics(result))
-    metrics.update(_medium_metrics(study.medium))
+    metrics["medium_ticks"] = float(study.medium.tick_count)
     return metrics, trace_sha256(study.sim)
 
 

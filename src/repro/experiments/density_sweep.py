@@ -83,7 +83,6 @@ class DensitySweep:
         populations: Sequence[int] = (10, 16, 24),
         scale_meetups_with_population: bool = True,
         medium_batched: bool = True,
-        medium_shards: int = 0,
         provisioning: Optional[str] = None,
         key_cache_dir: Optional[str] = None,
         workers: int = 1,
@@ -92,19 +91,10 @@ class DensitySweep:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if medium_shards and workers > 1:
-            # Nested process pools: every sweep worker would fork its own
-            # shard pool.  Legal, but never what a 1-machine sweep wants.
-            raise ValueError(
-                "medium_shards requires workers=1 (sweep-level and "
-                "shard-level process pools do not compose on one host)"
-            )
         self.base_config = base_config or ScenarioConfig(duration_days=3, total_posts=110)
         self.populations = tuple(populations)
         self.scale_meetups_with_population = scale_meetups_with_population
         self.medium_batched = medium_batched
-        #: Sharded-engine worker count per point (0 = single-process).
-        self.medium_shards = medium_shards
         self.provisioning = provisioning
         self.key_cache_dir = key_cache_dir
         self.workers = workers
@@ -124,7 +114,6 @@ class DensitySweep:
             self.base_config,
             num_users=num_users,
             medium_batched=self.medium_batched,
-            medium_shards=self.medium_shards,
         )
         if self.provisioning is not None:
             config = replace(config, provisioning=self.provisioning)

@@ -146,11 +146,7 @@ class GainesvilleStudy:
         fault_plan = cfg.fault_plan()
         self.sim = Simulator(seed=cfg.seed)
         self.medium = Medium(
-            self.sim,
-            tick_interval=cfg.medium_tick_s,
-            batched=cfg.medium_batched,
-            shards=cfg.medium_shards,
-            halo_m=cfg.medium_halo_m,
+            self.sim, tick_interval=cfg.medium_tick_s, batched=cfg.medium_batched
         )
         self.framework = MpcFramework(self.sim, self.medium)
         self.cloud = CloudService(

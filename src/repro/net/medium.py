@@ -43,24 +43,19 @@ thousands of devices:
 
 How the candidate set is produced each tick is delegated to a strategy
 object from :mod:`repro.net.medium_engines`: the per-device reference
-oracle (``batched=False``), the batched single-process engine (the
-default), or the sharded cross-process engine (``shards >= 1``), which
-partitions the batched sweep over a persistent pool of worker processes
-with ghost-zone (halo) position exchange at shard boundaries.  All
+oracle (``batched=False``) or the batched engine (the default).  Both
 engines feed the same incremental link diff (:meth:`Medium._apply_candidates`)
 and emit link events in sorted pair order within a tick, which makes
-contact traces byte-identical across engines, shard counts *and*
-processes (cell sets iterate in hash order, so unsorted emission would
-depend on ``PYTHONHASHSEED``).  See
-``benchmarks/test_bench_medium_scale.py`` and
-``benchmarks/test_bench_shard_scale.py`` for throughput numbers and the
-equivalence checks, and EXPERIMENTS.md for how to run them.
+contact traces byte-identical across engines *and* processes (cell sets
+iterate in hash order, so unsorted emission would depend on
+``PYTHONHASHSEED``).  See ``benchmarks/test_bench_medium_scale.py`` for
+throughput numbers and the equivalence check, and EXPERIMENTS.md for
+how to run it.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.geo.spatial_index import SpatialHashIndex
@@ -103,17 +98,6 @@ class Medium:
         Use the batched contact-detection engine (default).  ``False``
         selects the per-device reference path — same contacts, per-device
         spatial queries; kept as the benchmark/equivalence oracle.
-    shards:
-        ``>= 1`` selects the sharded cross-process engine with that many
-        worker processes (``batched`` is then ignored — sharding
-        generalises the batched algorithm).  ``0`` (default) keeps the
-        single-process engines.  ``shards=1`` is the full sharded
-        machinery with one worker: useful for isolating the partition
-        overhead and for equivalence tests.
-    halo_m:
-        Minimum ghost-zone width in metres for the sharded engine.  The
-        engine always uses at least the sweep radius; this knob can only
-        widen the halo.  Ignored unless ``shards >= 1``.
     """
 
     def __init__(
@@ -122,21 +106,15 @@ class Medium:
         tick_interval: float = 30.0,
         hysteresis: float = 1.1,
         batched: bool = True,
-        shards: int = 0,
-        halo_m: Optional[float] = None,
     ) -> None:
         if tick_interval <= 0:
             raise ValueError(f"tick_interval must be positive, got {tick_interval}")
         if hysteresis < 1.0:
             raise ValueError(f"hysteresis must be >= 1.0, got {hysteresis}")
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.sim = sim
         self.tick_interval = float(tick_interval)
         self.hysteresis = float(hysteresis)
         self.batched = bool(batched)
-        self.shards = int(shards)
-        self.halo_m = halo_m
         self.devices: Dict[str, Device] = {}
         self.contacts = ContactTracker()
         self._index = SpatialHashIndex(cell_size=120.0)
@@ -161,10 +139,7 @@ class Medium:
         self.tick_count = 0
         self.pairs_examined = 0
         self.pair_checks_skipped = 0
-        #: cumulative parent-process CPU seconds spent inside tick() —
-        #: the serialised section that governs multi-core scaling.
-        self.tick_cpu_s = 0.0
-        self.engine = resolve_engine(self, self.batched, self.shards, halo_m)
+        self.engine = resolve_engine(self, self.batched)
         self._timer = PeriodicTimer(sim, self.tick_interval, self.tick, name="medium-tick")
 
     # -- population ---------------------------------------------------------------
@@ -228,15 +203,12 @@ class Medium:
         for key in sorted(self._linked):
             self._drop_link(key)
         self.contacts.close_all(self.sim.now)
-        self.engine.stop()
 
     # -- the tick ---------------------------------------------------------------------
     def tick(self) -> None:
         """Advance positions and rediff the in-range pair set."""
         self.tick_count += 1
-        started = time.process_time()  # repro: ignore[nondet-wallclock] -- bench instrumentation only: the reading accumulates into tick_cpu_s, which is reported by benchmarks and never reaches simulation state, scheduling or the trace.
         self.engine.tick(self.sim.now)
-        self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
 
     def _apply_candidates(
         self, now: float, candidates: List[Tuple[str, str, float]]
@@ -386,6 +358,5 @@ class Medium:
     def distance_checks(self) -> int:
         """Cumulative candidate distance computations — the geometric
         work the batched sweep compresses (the per-device path visits
-        every pair from both ends; the sharded engine re-checks halo
-        pairs in whichever band sees them without owning them)."""
-        return self._index.distance_checks + self.engine.extra_distance_checks
+        every pair from both ends)."""
+        return self._index.distance_checks

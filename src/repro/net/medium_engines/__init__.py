@@ -4,19 +4,14 @@
 simulation — which pairs are connected, with which radio, and the
 sorted-order trace emission discipline that keeps runs byte-identical.
 *How* the candidate pair set is produced each tick is an engine
-concern, and three engines implement the same contract:
+concern, and two engines implement the same contract:
 
 * :class:`~repro.net.medium_engines.per_device.PerDeviceEngine` — the
   seed algorithm: one radius query per device, pair-set rediff.  Kept
   deliberately naive as the reference oracle.
 * :class:`~repro.net.medium_engines.batched.BatchedEngine` — one
   mobility pass, one population-wide spatial pair sweep, incremental
-  link diff (PR 1; the single-process default).
-* :class:`~repro.net.medium_engines.sharded.ShardedEngine` — the
-  batched algorithm partitioned across worker processes: contiguous
-  grid-column shards, per-shard mobility + pair sweeps, ghost-zone
-  (halo) position exchange for pairs straddling shard boundaries, and
-  a deterministic merge of the per-shard candidate sets in the parent.
+  link diff (the default).
 
 The contract that makes them interchangeable: an engine's ``tick`` must
 hand :meth:`Medium._apply_candidates` the exact geometric candidate set
@@ -24,13 +19,13 @@ hand :meth:`Medium._apply_candidates` the exact geometric candidate set
 exactly once, with ``d²`` computed by the shared
 ``SpatialHashIndex.pairs_within`` arithmetic.  Everything order- or
 process-sensitive (link diff, hysteresis, next-check scheduling, trace
-emission) lives in ``Medium`` and runs identically for all three, which
-is why traces are byte-identical across engines and shard counts.
+emission) lives in ``Medium`` and runs identically for both, which is
+why traces are byte-identical across engines.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.net.medium_engines.base import ContactEngine
 
@@ -40,23 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ContactEngine", "resolve_engine"]
 
 
-def resolve_engine(
-    medium: "Medium",
-    batched: bool,
-    shards: int,
-    halo_m: Optional[float],
-) -> ContactEngine:
-    """The engine for a medium's knob settings.
-
-    ``shards >= 1`` selects the sharded engine (it generalises the
-    batched algorithm, so ``batched`` is ignored); ``shards == 0`` keeps
-    the single-process choice between the batched engine and the
-    per-device reference path.
-    """
-    if shards:
-        from repro.net.medium_engines.sharded import ShardedEngine
-
-        return ShardedEngine(medium, shards=shards, halo_m=halo_m)
+def resolve_engine(medium: "Medium", batched: bool) -> ContactEngine:
+    """The batched engine, or the per-device reference path when
+    ``batched`` is false."""
     if batched:
         from repro.net.medium_engines.batched import BatchedEngine
 

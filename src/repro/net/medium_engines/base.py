@@ -37,15 +37,5 @@ class ContactEngine:
         ``Medium._apply_candidates`` (or perform an equivalent diff)."""
         raise NotImplementedError
 
-    def stop(self) -> None:
-        """Release engine resources (worker processes, caches)."""
-
-    # -- instrumentation ----------------------------------------------------------
-    @property
-    def extra_distance_checks(self) -> int:
-        """Candidate distance computations performed outside the
-        medium's own spatial index (per-shard worker indices)."""
-        return 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

@@ -1,11 +1,11 @@
 """The per-device reference engine (the seed algorithm).
 
-Kept deliberately naive — this is the oracle the batched and sharded
-engines are verified against (identical contact traces) and benchmarked
-over.  It performs its own pair-set rediff rather than going through
+Kept deliberately naive — this is the oracle the batched engine is
+verified against (identical contact traces) and benchmarked over.  It
+performs its own pair-set rediff rather than going through
 ``Medium._apply_candidates``: re-resolving the radio per tick and
 skipping powered-off devices at query time is exactly the seed
-behaviour the other engines must reproduce from the outside.
+behaviour the batched engine must reproduce from the outside.
 """
 
 from __future__ import annotations

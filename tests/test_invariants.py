@@ -11,7 +11,6 @@ traces. This is the runtime contract that ``repro lint`` enforces
 statically.
 """
 
-import hashlib
 import random
 
 import pytest
@@ -119,12 +118,11 @@ class TestDeterminism:
     def test_default_study_trace_is_reproducible(self):
         from repro.experiments.gainesville import GainesvilleStudy
         from repro.experiments.scenario import ScenarioConfig
-        from tests.worldutil import trace_lines
+        from repro.bench.traceid import trace_sha256
 
         digests = []
         for _ in range(2):
             study = GainesvilleStudy(ScenarioConfig())
             study.run()
-            payload = "\n".join(trace_lines(study.sim)).encode()
-            digests.append(hashlib.sha256(payload).hexdigest())
+            digests.append(trace_sha256(study.sim))
         assert digests[0] == digests[1]

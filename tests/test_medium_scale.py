@@ -25,6 +25,8 @@ from repro.mobility.random_waypoint import RandomWaypoint
 from repro.mobility.trace_model import TraceReplayModel, WaypointTrace
 from repro.net.device import Device
 from repro.net.medium import Medium
+from repro.net.medium_engines.batched import BatchedEngine
+from repro.net.medium_engines.per_device import PerDeviceEngine
 from repro.net.radio import BLUETOOTH, DEFAULT_RADIO_SET, P2P_WIFI
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
@@ -345,6 +347,11 @@ class TestEngineEquivalence:
             sim.schedule_at(95.0, medium.devices["d001"].power_off)
             sim.schedule_at(215.0, medium.devices["d001"].power_on)
             sim.schedule_at(155.0, medium.remove_device, "d007")
+            # A mid-run add must invalidate the batched engine's cached
+            # mobility groups, or the latecomer never moves.  Its seed is
+            # one whose walk makes contacts (asserted below).
+            latecomer = Device("d_late", RandomWaypoint(region, random.Random(8)))
+            sim.schedule_at(245.0, medium.add_device, latecomer)
             sim.run(until=600.0)
             medium.stop()
             return [
@@ -356,6 +363,12 @@ class TestEngineEquivalence:
         reference = run(False)
         assert batched == reference
         assert any(event[1] == "contact" for event in batched)
+        assert any("d_late" in dict(event[3]).values() for event in batched)
+
+    def test_engine_resolution(self):
+        sim = Simulator(seed=1)
+        assert isinstance(Medium(sim).engine, BatchedEngine)
+        assert isinstance(Medium(sim, batched=False).engine, PerDeviceEngine)
 
     def test_medium_tick_instrumentation_counts(self):
         sim, medium = make_world(batched=True)

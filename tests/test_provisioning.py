@@ -5,6 +5,7 @@ experiment harness)."""
 import pytest
 
 from repro.alleyoop.cloud import CloudService
+from repro.bench.traceid import trace_lines
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
@@ -18,13 +19,6 @@ from repro.pki.provisioning import (
 )
 
 BITS = 512  # fast keygen; fine for pool tests (no OAEP involved)
-
-
-def _trace_lines(sim):
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
 
 
 class TestKeypairPool:
@@ -205,7 +199,7 @@ class TestStudyIntegration:
                 ScenarioConfig(provisioning=mode, key_cache_dir=str(tmp_path), **self.BASE)
             )
             result = study.run()
-            traces[mode] = _trace_lines(study.sim)
+            traces[mode] = trace_lines(study.sim)
             materialized[mode] = result.security_stats["keystores_materialized"]
         assert traces["eager"] == traces["pooled"] == traces["lazy"]
         assert any("|message|" in line for line in traces["eager"])

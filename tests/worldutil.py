@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.alleyoop import AlleyOopApp, CloudService
+from repro.bench.traceid import trace_lines as canonical_trace_lines
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.geo.point import Point
@@ -23,11 +24,11 @@ from repro.sim.engine import Simulator
 
 
 def trace_lines(sim: Simulator, exclude_category: Optional[str] = None) -> List[str]:
-    """Render a trace stream as comparable lines (the byte-identity
-    oracle used by the equivalence tests and benches)."""
+    """The canonical trace lines (:func:`repro.bench.traceid.trace_lines`),
+    optionally without one event category."""
     return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
+        line
+        for line, event in zip(canonical_trace_lines(sim), sim.trace)
         if event.category != exclude_category
     ]
 
