@@ -1,17 +1,17 @@
-"""E9 (extension) — identity provisioning: keypair pool + lazy sign-up.
+"""E9 (extension) — identity provisioning: eager vs lazy sign-up.
 
-PR 1 batched contact detection and PR 2 amortised packet crypto; the
+With contact detection batched and packet crypto amortised, the
 remaining secured-run bottleneck is world *construction*: the paper's
 Fig. 2a sign-up generates one RSA key pair per user, so a 2000-user
 secured density sweep pays minutes of keygen before the first simulated
-second.  :mod:`repro.pki.provisioning` removes that cost (pooled keys
-cached across sweeps; lazy keys only materialised on first secured use).
-This bench enforces the ISSUE-4 contracts:
+second.  :mod:`repro.pki.provisioning` removes that cost with lazy
+sign-up (keys only materialised on first secured use, optionally cached
+on disk across runs).  This bench enforces two contracts:
 
-* **build speed** — ≥ 10x faster secured world build at N=500 for both
-  pooled (warm cache) and lazy provisioning over the eager reference,
+* **build speed** — ≥ 10x faster secured world build at N=500 under
+  lazy provisioning over the eager reference,
 * **equivalence** — byte-identical delivery/delay traces for the default
-  10-user Gainesville reconstruction across all three provisioning modes.
+  10-user Gainesville reconstruction under both provisioning modes.
 
 The N=500 world uses a sparse ring follow-graph so the measurement
 isolates provisioning cost rather than follow-list wiring, and 512-bit
@@ -34,7 +34,6 @@ import pytest
 from repro.bench.traceid import trace_lines
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.metrics.report import format_table
-from repro.pki.provisioning import KeypairPool
 from repro.social.digraph import SocialDigraph
 
 #: The density regime the sweep bench targets (users in the study area).
@@ -77,25 +76,13 @@ def _timed_build(config: ScenarioConfig) -> Tuple[GainesvilleStudy, float]:
 
 
 def test_bench_world_build_speedup(tmp_path, bench_recorder):
-    """The tentpole contract: ≥ 10x faster secured world build at N=500
-    under pooled (warm cache) and lazy provisioning."""
+    """The build contract: ≥ 10x faster secured world build at N=500
+    under lazy provisioning."""
     cache = str(tmp_path / "keys")
     eager_study, eager_s = _timed_build(_build_config("eager", cache))
     assert all(
         app.sos.adhoc.keystore.materialized for app in eager_study.apps.values()
     )
-
-    # One-time pool warm-up: this is the cost repeated sweeps amortise
-    # away (reported, not asserted — it is ordinary eager-rate keygen).
-    # Wall clock, not CPU time: the generation runs in forked workers.
-    warm_start = time.perf_counter()
-    warmed = KeypairPool(cache).prefetch(BUILD_BITS, SEED, range(SCALE_N), workers=2)
-    warm_s = time.perf_counter() - warm_start
-    assert warmed == SCALE_N
-
-    pooled_study, pooled_s = _timed_build(_build_config("pooled", cache))
-    assert pooled_study.keypair_pool.stats["generated"] == 0
-    assert pooled_study.keypair_pool.stats["disk_hits"] == SCALE_N
 
     lazy_study, lazy_s = _timed_build(_build_config("lazy", cache))
     assert not any(
@@ -109,8 +96,6 @@ def test_bench_world_build_speedup(tmp_path, bench_recorder):
             ("provisioning", "build", "speedup"),
             [
                 ("eager (reference)", f"{eager_s:.2f}", ""),
-                ("pool warm-up (once)", f"{warm_s:.2f}", ""),
-                ("pooled (warm cache)", f"{pooled_s:.2f}", f"{eager_s / pooled_s:.1f}x"),
                 ("lazy", f"{lazy_s:.2f}", f"{eager_s / lazy_s:.1f}x"),
             ],
         )
@@ -118,24 +103,21 @@ def test_bench_world_build_speedup(tmp_path, bench_recorder):
     bench_recorder.record(
         "provisioning_build_speedup",
         {
-            "pooled_speedup_x": eager_s / pooled_s,
             "lazy_speedup_x": eager_s / lazy_s,
             "eager_cpu_s": eager_s,
-            "pool_warmup_wall_s": warm_s,
         },
         context={"num_users": SCALE_N, "key_bits": BUILD_BITS},
     )
-    assert eager_s / pooled_s >= 10.0
     assert eager_s / lazy_s >= 10.0
 
 
 def test_bench_default_study_equivalence_across_modes(tmp_path):
     """The acceptance bar: the default 10-user field study produces
-    byte-identical delivery/delay traces under all three provisioning
-    modes (eager is the oracle)."""
+    byte-identical delivery/delay traces under both provisioning modes
+    (eager is the oracle)."""
     traces = {}
     deliveries = {}
-    for mode in ("eager", "pooled", "lazy"):
+    for mode in ("eager", "lazy"):
         study = GainesvilleStudy(
             ScenarioConfig(provisioning=mode, key_cache_dir=str(tmp_path / "keys"))
         )
@@ -143,9 +125,7 @@ def test_bench_default_study_equivalence_across_modes(tmp_path):
         traces[mode] = trace_lines(study.sim)
         deliveries[mode] = result.delivery.overall_delivery_ratio()
     assert any("|message|received|" in line for line in traces["eager"])
-    assert traces["pooled"] == traces["eager"]
     assert traces["lazy"] == traces["eager"]
-    assert deliveries["pooled"] == deliveries["eager"]
     assert deliveries["lazy"] == deliveries["eager"]
 
 
@@ -166,9 +146,8 @@ def test_bench_provisioning_smoke(tmp_path):
     config = dict(num_users=4, duration_days=1, total_posts=20, seed=77,
                   key_cache_dir=cache)
     traces = {}
-    for mode in ("eager", "pooled", "lazy"):
+    for mode in ("eager", "lazy"):
         study = GainesvilleStudy(ScenarioConfig(provisioning=mode, **config))
         study.run()
         traces[mode] = trace_lines(study.sim)
-    assert traces["pooled"] == traces["eager"]
     assert traces["lazy"] == traces["eager"]

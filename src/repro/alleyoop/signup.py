@@ -24,7 +24,7 @@ from typing import Optional
 
 from repro.alleyoop.cloud import CloudService
 from repro.crypto.drbg import RandomSource
-from repro.crypto.rsa import RsaKeyPair, generate_keypair
+from repro.crypto.rsa import generate_keypair
 from repro.pki.certificate import Certificate, DistinguishedName
 from repro.pki.csr import CertificateSigningRequest
 from repro.pki.keystore import KeyStore
@@ -51,17 +51,15 @@ def sign_up(
     rng: RandomSource,
     now: float,
     key_bits: int = 1024,
-    keypair: Optional[RsaKeyPair] = None,
 ) -> SignupResult:
     """Run the Fig. 2a flow end to end.  Raises
     :class:`~repro.alleyoop.cloud.CloudError` if the cloud is offline —
     sign-up is the one step that genuinely needs the Internet.
 
-    ``keypair`` injects a pre-generated key pair (the keypair-pool path of
-    :mod:`repro.pki.provisioning`); by default a fresh one is generated
-    from ``rng``, which is the paper's on-device keygen."""
+    The key pair is generated from ``rng`` — the paper's on-device
+    keygen."""
     account = cloud.create_account(username, now=now)
-    keypair = keypair or generate_keypair(key_bits, rng=rng)
+    keypair = generate_keypair(key_bits, rng=rng)
     csr = CertificateSigningRequest.create(
         subject=DistinguishedName(common_name=username),
         private_key=keypair.private,

@@ -13,6 +13,9 @@ Compares a current artifact against a baseline on their shared
   and host-independent: a mismatch means the simulation itself changed
   behaviour for a fixed seed, which is either an intentional
   re-baseline (update the committed artifact) or a determinism bug.
+* **config drift** — a shared ``(run, repetition)`` key whose configs
+  differ fails the gate: the suite definition and the baseline disagree,
+  so the baseline no longer says anything about that point.
 
 Cross-host honesty: absolute timings from different host fingerprints
 are only loosely comparable; the gate reports the fingerprint mismatch
@@ -47,7 +50,7 @@ class CheckEntry:
 
     @property
     def failed(self) -> bool:
-        return self.status in ("slow", "trace-mismatch")
+        return self.status in ("slow", "trace-mismatch", "config-drift")
 
 
 @dataclass
@@ -89,7 +92,7 @@ class CheckReport:
                     f"  FAIL  {label}: {entry.baseline:.3f} -> {entry.current:.3f} "
                     f"({_ratio(entry):+.1f}% > +{self.threshold * 100:.0f}%)"
                 )
-            elif entry.status == "trace-mismatch":
+            elif entry.status in ("trace-mismatch", "config-drift"):
                 lines.append(f"  FAIL  {label}: {entry.detail}")
             else:
                 lines.append(f"  skip  {label}: {entry.detail}")
@@ -137,8 +140,8 @@ def compare_artifacts(
             report.entries.append(
                 CheckEntry(
                     name, repetition, "config-drift",
-                    detail="same run key but different configs — not comparable "
-                    "(suite definition changed; re-baseline)",
+                    detail="same run key but different configs — the suite "
+                    "definition and the baseline disagree; re-baseline",
                 )
             )
             continue

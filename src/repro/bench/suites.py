@@ -158,7 +158,7 @@ _SMOKE_RUNS: List[Dict[str, Any]] = [
             "duration_days": 1,
             "total_posts": 40,
             "social_graph": "degree_bounded",
-            "provisioning": "pooled",
+            "provisioning": "lazy",
         },
     },
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.routing.registry import RoutingRegistry
@@ -56,23 +57,16 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=PROVISIONING_MODES,
         default=None,
         help="identity provisioning strategy: eager on-device keygen at "
-        "sign-up (default, the reference oracle), pooled deterministic "
-        "keypair cache, or lazy first-use materialisation (same traces; "
-        "pooled/lazy make large-N secured builds tractable)",
+        "sign-up (default, the reference oracle) or lazy first-use "
+        "materialisation (same traces; lazy makes large-N secured builds "
+        "tractable)",
     )
     parser.add_argument(
         "--key-cache",
         metavar="DIR",
         default=None,
-        help="on-disk keypair-pool directory for --provisioning pooled/lazy "
+        help="on-disk keypair-pool directory for --provisioning lazy "
         "(default: $REPRO_KEY_CACHE, else memory-only)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes: parallel keypair prefetch for pooled "
-        "provisioning, and parallel sweep points for the density command",
     )
     parser.add_argument(
         "--social-graph",
@@ -123,8 +117,6 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["provisioning"] = args.provisioning
     if args.key_cache is not None:
         kwargs["key_cache_dir"] = args.key_cache
-    if args.workers != 1:
-        kwargs["provisioning_workers"] = args.workers
     if args.social_graph is not None:
         kwargs["social_graph"] = args.social_graph
     if args.per_edge_bootstrap:
@@ -180,13 +172,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    if args.per_device_medium:
+        config = replace(config, medium_batched=False)
     populations = tuple(int(p) for p in args.populations.split(","))
-    sweep = DensitySweep(
-        base_config=config,
-        populations=populations,
-        medium_batched=not args.per_device_medium,
-        workers=args.workers,
-    )
+    sweep = DensitySweep(base_config=config, populations=populations, workers=args.workers)
     sweep.run()
     print(sweep.report())
     return 0
@@ -499,6 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the per-device contact-detection reference path "
         "(same contacts; for benchmarking the batched engine)",
+    )
+    density.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for parallel sweep points (same results)",
     )
     density.set_defaults(func=cmd_density)
 

@@ -196,7 +196,7 @@ def generate_keypair(
         raise ValueError("modulus bit size must be even")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    # repro: ignore[rng-unseeded] -- deployment default: sim keygen always passes a pooled/per-entry DRBG; OS entropy is the documented fallback for real deployments only.
+    # repro: ignore[rng-unseeded] -- deployment default: sim keygen always passes a per-user sign-up DRBG; OS entropy is the documented fallback for real deployments only.
     rng = rng or SystemRandomSource()
     half = bits // 2
     for _ in range(max_attempts):

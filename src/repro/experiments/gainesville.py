@@ -131,7 +131,7 @@ class GainesvilleStudy:
         self.social_graph: Optional[SocialDigraph] = None
         #: The concrete generator "auto" resolved to (set by build()).
         self.social_graph_kind: Optional[str] = None
-        self.keypair_pool = None  # set by build() for pooled/lazy modes
+        self.keypair_pool = None  # set by build() for lazy provisioning
         #: The fault injector, or None when ``config.faults == "none"``.
         self.injector: Optional[FaultInjector] = None
         self._overlay: Optional[MapOverlay] = None
@@ -169,21 +169,10 @@ class GainesvilleStudy:
             )
 
         nodes = sorted(self.social_graph.nodes)
-        # Identity provisioning: the pool (shared by pooled *and* lazy
-        # materialisation) lives on the study so benches can read its
-        # stats; pooled mode prefetches every user's key pair up front —
-        # in parallel when the scenario asks for workers.
-        if cfg.provisioning in ("pooled", "lazy"):
+        # Identity provisioning: lazy materialisation draws from a pool
+        # that lives on the study so benches can read its stats.
+        if cfg.provisioning == "lazy":
             self.keypair_pool = KeypairPool(cfg.key_cache_dir or default_cache_dir())
-        else:
-            self.keypair_pool = None
-        if cfg.provisioning == "pooled":
-            self.keypair_pool.prefetch(
-                cfg.key_bits,
-                cfg.seed,
-                range(len(nodes)),
-                workers=cfg.provisioning_workers,
-            )
         for index, node in enumerate(nodes):
             username = f"user-{node:02d}" if isinstance(node, int) else str(node)
             signup = provision_user(
@@ -218,7 +207,6 @@ class GainesvilleStudy:
                 routing_protocol=cfg.routing_protocol,
                 require_encryption=cfg.require_encryption,
                 session_crypto=cfg.session_crypto,
-                provisioning=cfg.provisioning,
                 relay_request_grace=cfg.relay_request_grace,
             )
             self.apps[node] = AlleyOopApp(

@@ -92,9 +92,6 @@ class ScenarioConfig:
     #: author->subscriber contacts dominate, matching the study's 82.6%
     #: 1-hop share).
     meetups_per_day: float = 2.6
-    #: Probability a meetup grows to include a mutual friend (legacy knob,
-    #: superseded by meetup_group_size; kept for ablations).
-    meetup_group_prob: float = 0.4
     #: Gathering size range: the host invites this many friends (clipped
     #: to the host's friend count).  Gatherings covering most of a user's
     #: follower cluster are what make posted-at-gathering deliveries
@@ -144,19 +141,16 @@ class ScenarioConfig:
     key_bits: int = 1024
     require_encryption: bool = True
     #: Identity provisioning strategy: ``"eager"`` (on-device keygen at
-    #: sign-up — the paper's flow and the reference oracle), ``"pooled"``
-    #: (key pairs from a deterministic ``repro.pki.provisioning.KeypairPool``,
-    #: optionally cached on disk under ``key_cache_dir``) or ``"lazy"``
-    #: (placeholder sign-up; keygen deferred to first secured use).  All
-    #: three yield byte-identical traces for a fixed seed; pooled/lazy
-    #: exist to make large-N secured world builds tractable.
+    #: sign-up — the paper's flow and the reference oracle) or ``"lazy"``
+    #: (placeholder sign-up; keygen deferred to first secured use, key
+    #: pairs from a deterministic ``repro.pki.provisioning.KeypairPool``
+    #: optionally cached on disk under ``key_cache_dir``).  Both yield
+    #: byte-identical traces for a fixed seed; lazy exists to make
+    #: large-N secured world builds tractable.
     provisioning: str = "eager"
-    #: On-disk keypair-pool directory for ``provisioning="pooled"``/"lazy";
+    #: On-disk keypair-pool directory for ``provisioning="lazy"``;
     #: ``None`` falls back to ``$REPRO_KEY_CACHE`` (memory-only if unset).
     key_cache_dir: Optional[str] = None
-    #: Worker processes for the pooled-mode keypair prefetch (1 = serial;
-    #: results are identical at any worker count).
-    provisioning_workers: int = 1
     #: Packet protection engine: the per-link secure-session layer
     #: (default) or the legacy per-packet hybrid-RSA pipeline.  Both
     #: produce byte-identical delivery/delay traces for a fixed seed; the
@@ -195,8 +189,6 @@ class ScenarioConfig:
                 f"provisioning must be one of {PROVISIONING_MODES}, "
                 f"got {self.provisioning!r}"
             )
-        if self.provisioning_workers < 1:
-            raise ValueError("provisioning_workers must be at least 1")
         # Unknown kinds and the figure4a/num_users constraint are
         # rejected by the knob's single validation point.
         resolve_social_graph_kind(self.social_graph, self.num_users)

@@ -1,31 +1,26 @@
-"""Identity provisioning: keypair pool, lazy sign-up, parallel prefetch.
+"""Identity provisioning: eager sign-up, lazy sign-up, keypair pool.
 
 Every AlleyOop Social user holds an RSA key pair minted at sign-up (paper
 Fig. 2a).  In the reproduction that keygen is pure build-time cost —
-~0.2 s per user at the 1024-bit simulation key size — and after the
-batched medium (PR 1) and the session-crypto layer (PR 2) it is what
-makes large-N secured sweeps intractable.  This module removes keygen
-from the world-construction hot path three ways, selected by the
-``provisioning`` knob (:class:`repro.core.config.SosConfig` /
-:class:`repro.experiments.scenario.ScenarioConfig`):
+~0.2 s per user at the 1024-bit simulation key size — and it is what
+makes large-N secured sweeps slow to build.  The ``provisioning`` knob
+(:class:`repro.experiments.scenario.ScenarioConfig`) picks one of two
+strategies:
 
 ``eager``
     The reference flow: generate on-device during sign-up, exactly as the
-    paper describes and exactly as the seed code behaved.  The oracle the
-    other two modes are verified against.
-``pooled``
-    Key pairs come from a :class:`KeypairPool` — a deterministic cache
-    keyed by ``(bits, seed, index)`` with an optional on-disk store, so
-    repeated sweeps pay keygen once, and :meth:`KeypairPool.prefetch` can
-    spread the initial generation over ``multiprocessing`` workers.
+    paper describes.  The oracle lazy provisioning is verified against.
 ``lazy``
     Sign-up installs a *placeholder*: account + reserved certificate
     serial + CA root now, key pair and certificate only on first secured
     send/receive (first :attr:`~repro.pki.keystore.KeyStore.private_key`
-    access).  A device that never secures a link never pays keygen.
+    access).  A device that never secures a link never pays keygen.  The
+    key pair comes from a :class:`KeypairPool` — a deterministic cache
+    keyed by ``(bits, seed, index)`` with an optional on-disk store, so
+    repeated runs and sweeps pay keygen once.
 
-All three modes produce **byte-identical** key pairs and certificates for
-a fixed scenario seed: the per-user DRBG seed is the pure function
+Both modes produce **byte-identical** key pairs and certificates for a
+fixed scenario seed: the per-user DRBG seed is the pure function
 :func:`signup_drbg_seed` of ``(scenario seed, user index)`` regardless of
 who generates when, and lazy issuance reuses the serial reserved at
 sign-up time — so delivery/delay traces are identical across modes
@@ -50,17 +45,16 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, generate_keypair
 from repro.pki.certificate import DistinguishedName
 from repro.pki.csr import CertificateSigningRequest
 from repro.pki.keystore import KeyStore
-from repro.sim.parallel import parallel_map
 
-#: The three provisioning strategies, in reference-first order.
-PROVISIONING_MODES = ("eager", "pooled", "lazy")
+#: The provisioning strategies, in reference-first order.
+PROVISIONING_MODES = ("eager", "lazy")
 
 #: Environment variable naming a default on-disk key cache directory.
 KEY_CACHE_ENV = "REPRO_KEY_CACHE"
@@ -73,8 +67,8 @@ def signup_drbg_seed(scenario_seed: int, index: int) -> int:
     """The per-user key-generation DRBG seed.
 
     A pure function of the scenario seed and the user's sign-up index —
-    the single source of truth that makes eager, pooled and lazy
-    provisioning (and any mix of processes computing them) produce
+    the single source of truth that makes eager and lazy provisioning
+    (and any mix of processes computing them) produce
     byte-identical key pairs.  The constant matches the seed derivation
     the original eager study build used, so default traces are unchanged.
     """
@@ -86,23 +80,11 @@ def default_cache_dir() -> Optional[str]:
     return os.environ.get(KEY_CACHE_ENV) or None
 
 
-def _generate_pool_entry(task: Tuple[int, int, int]) -> Tuple[int, RsaKeyPair]:
-    """Worker body for parallel prefetch: one fully deterministic entry.
-
-    Each worker seeds its own DRBG from the entry's ``(bits, seed,
-    index)`` spec, so results are independent of worker count, scheduling
-    and chunking — a parallel prefetch is bit-for-bit the serial one.
-    """
-    bits, seed, index = task
-    rng = HmacDrbg.from_int(signup_drbg_seed(seed, index))
-    return index, generate_keypair(bits, rng=rng)
-
-
 class KeypairPool:
     """A deterministic RSA keypair cache keyed by ``(bits, seed, index)``.
 
     Entries are generated on demand from the keyed DRBG (so a pool is
-    *transparent*: pooled runs equal eager runs byte for byte), held in
+    *transparent*: its keys equal the eager flow's byte for byte), held in
     memory, and — when ``cache_dir`` is set — persisted to one small file
     per key so later processes and repeated sweeps skip keygen entirely.
 
@@ -135,51 +117,12 @@ class KeypairPool:
             self.stats["disk_hits"] += 1
             self._memory[key] = loaded
             return loaded
-        _, keypair = _generate_pool_entry((bits, seed, index))
+        rng = HmacDrbg.from_int(signup_drbg_seed(seed, index))
+        keypair = generate_keypair(bits, rng=rng)
         self.stats["generated"] += 1
         self._memory[key] = keypair
         self._store(bits, seed, index, keypair)
         return keypair
-
-    def prefetch(
-        self,
-        bits: int,
-        seed: int,
-        indices: Iterable[int],
-        workers: int = 1,
-    ) -> int:
-        """Ensure every ``(bits, seed, index)`` entry exists; returns how
-        many had to be generated.
-
-        With ``workers > 1`` the missing entries are generated by a
-        ``multiprocessing`` pool; each task carries its own DRBG spec
-        (see :func:`_generate_pool_entry`), so assignment to workers is
-        irrelevant to the result and the prefetch stays deterministic.
-        Falls back to in-process generation where ``fork`` is unavailable.
-        """
-        wanted = [
-            (bits, seed, index)
-            for index in indices
-            if (bits, seed, index) not in self._memory
-        ]
-        missing: List[Tuple[int, int, int]] = []
-        for task in wanted:
-            loaded = self._load(*task)
-            if loaded is not None:
-                self.stats["disk_hits"] += 1
-                self._memory[task] = loaded
-            else:
-                missing.append(task)
-        if not missing:
-            return 0
-        # parallel_map preserves task order, so results line up with
-        # ``missing`` regardless of which worker ran what.
-        results = parallel_map(_generate_pool_entry, missing, workers)
-        for task, (_, keypair) in zip(missing, results):
-            self.stats["generated"] += 1
-            self._memory[task] = keypair
-            self._store(*task, keypair)
-        return len(missing)
 
     # -- disk layer -----------------------------------------------------------
     def _load(self, bits: int, seed: int, index: int) -> Optional[RsaKeyPair]:
@@ -251,8 +194,8 @@ def provision_user(
         now: Simulation time of the sign-up.
         key_bits: RSA modulus size.
         mode: One of :data:`PROVISIONING_MODES`.
-        pool: Keypair source for ``pooled`` (created ad hoc when omitted)
-            and, optionally, for ``lazy`` materialisation.
+        pool: Optional keypair source for ``lazy`` materialisation;
+            without one the key pair is generated on first use.
 
     Returns:
         The sign-up result; its ``keystore`` is ready for middleware use.
@@ -270,18 +213,6 @@ def provision_user(
         return sign_up(
             cloud, username, rng=HmacDrbg.from_int(drbg_seed), now=now, key_bits=key_bits
         )
-    if mode == "pooled":
-        pool = pool if pool is not None else KeypairPool(default_cache_dir())
-        keypair = pool.get(key_bits, seed, index)
-        return sign_up(
-            cloud,
-            username,
-            rng=HmacDrbg.from_int(drbg_seed),
-            now=now,
-            key_bits=key_bits,
-            keypair=keypair,
-        )
-
     # -- lazy: account + serial reservation now, crypto on first use ---------
     account = cloud.create_account(username, now=now)
     serial = cloud.ca.reserve_serial()

@@ -1,10 +1,10 @@
 """Deterministic multi-process fan-out.
 
 :func:`parallel_map` forks a worker pool, maps a pure function over the
-items and tears the pool down.  It is used by the keypair-pool prefetch
-and the density-sweep point runner.  It falls back to in-process
-execution whenever forking is impossible — no ``fork`` start method on
-the platform, a sandbox that forbids subprocesses, or running *inside* a
+items and tears the pool down.  It runs the density-sweep points
+(``DensitySweep(workers=N)``).  It falls back to in-process execution
+whenever forking is impossible — no ``fork`` start method on the
+platform, a sandbox that forbids subprocesses, or running *inside* a
 pool worker (daemonic processes cannot have children).
 
 The contract callers must honour is that the mapped function is a pure

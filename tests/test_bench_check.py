@@ -86,6 +86,18 @@ class TestGateVerdicts:
         # Drift was the only shared key, so nothing was compared: FAIL.
         assert report.compared == 0 and not report.ok
 
+    def test_config_drift_fails_next_to_a_matching_point(self):
+        # A drifted point must not hide behind another point that compares.
+        current = _artifact(
+            [("a", 0, 2.0, SHA_A), ("b", 0, 4.0, SHA_B, {"duration_days": 2})]
+        )
+        baseline = _artifact([("a", 0, 2.0, SHA_A), ("b", 0, 4.0, SHA_B)])
+        report = compare_artifacts(current, baseline)
+        assert report.compared == 1
+        assert [entry.status for entry in report.failures] == ["config-drift"]
+        assert not report.ok
+        assert "FAIL  b#0" in report.render()
+
     def test_no_shared_runs_is_a_failure(self):
         report = compare_artifacts(
             _artifact([("only_current", 0, 1.0, SHA_A)]),

@@ -43,6 +43,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "users/km^2" in out
 
+    def test_density_per_device_medium_flag(self, capsys, monkeypatch):
+        from repro.experiments import gainesville
+
+        engines = []
+
+        class SpyMedium(gainesville.Medium):
+            def __init__(self, *args, batched, **kwargs):
+                engines.append(batched)
+                super().__init__(*args, batched=batched, **kwargs)
+
+        monkeypatch.setattr(gainesville, "Medium", SpyMedium)
+        assert main([
+            "density", "--days", "1", "--posts", "10", "--seed", "3",
+            "--populations", "6", "--per-device-medium",
+        ]) == 0
+        assert engines == [False]
+        assert "users/km^2" in capsys.readouterr().out
+
+    def test_workers_flag_belongs_to_density(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["study", "--workers", "2"])
+        capsys.readouterr()
+        assert main([
+            "density", "--days", "1", "--posts", "10", "--seed", "3",
+            "--populations", "6,8", "--workers", "2",
+        ]) == 0
+        assert "users/km^2" in capsys.readouterr().out
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -116,18 +144,28 @@ class TestDensitySweep:
 
     def test_social_graph_and_bootstrap_overrides(self):
         sweep = DensitySweep(
-            base_config=ScenarioConfig(seed=8, duration_days=1, total_posts=5),
+            base_config=ScenarioConfig(
+                seed=8, duration_days=1, total_posts=5,
+                social_graph="degree_bounded", bulk_bootstrap=False,
+            ),
             populations=(12,),
-            social_graph="degree_bounded",
-            bulk_bootstrap=False,
         )
         config = sweep._config_for(12)
         assert config.social_graph == "degree_bounded"
         assert config.bulk_bootstrap is False
-        # None leaves base_config untouched.
         vanilla = DensitySweep(
             base_config=ScenarioConfig(seed=8, duration_days=1, total_posts=5),
             populations=(12,),
         )
         assert vanilla._config_for(12).social_graph == "auto"
         assert vanilla._config_for(12).bulk_bootstrap is True
+
+    def test_base_config_world_build_choices_are_kept(self, tmp_path):
+        base = ScenarioConfig(
+            seed=8, duration_days=1, total_posts=5, medium_batched=False,
+            provisioning="lazy", key_cache_dir=str(tmp_path),
+        )
+        config = DensitySweep(base_config=base, populations=(12,))._config_for(12)
+        assert config.medium_batched is False
+        assert config.provisioning == "lazy"
+        assert config.key_cache_dir == str(tmp_path)

@@ -19,6 +19,14 @@ def _double(x):
     return x * 2
 
 
+def _nested_double(xs):
+    # A daemonic pool worker cannot fork children, so this inner call
+    # must fall back to an in-process map.
+    import multiprocessing
+
+    return multiprocessing.current_process().daemon, parallel_map(_double, xs, workers=2)
+
+
 def _boom(x):
     raise ValueError(f"bad item {x}")
 
@@ -45,6 +53,10 @@ class TestParallelMap:
 
     def test_single_worker_stays_in_process(self):
         assert parallel_map(_double, [5, 6], workers=1) == [10, 12]
+
+    def test_nested_call_in_worker_runs_serially(self):
+        results = parallel_map(_nested_double, [[1, 2], [3, 4, 5]], workers=2)
+        assert results == [(True, [2, 4]), (True, [6, 8, 10])]
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_worker_exception_propagates_with_traceback(self, workers):

@@ -1,12 +1,11 @@
 """Tests for the identity-provisioning subsystem (keypair pool, lazy
-sign-up, parallel prefetch, and the knobs that thread them through the
-experiment harness)."""
+sign-up, and the knobs that thread them through the experiment
+harness)."""
 
 import pytest
 
 from repro.alleyoop.cloud import CloudService
 from repro.bench.traceid import trace_lines
-from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.experiments import DensitySweep, GainesvilleStudy, ScenarioConfig
@@ -25,10 +24,10 @@ class TestKeypairPool:
     def test_matches_eager_generation(self):
         """The pool's whole point: its keys equal the eager flow's keys."""
         pool = KeypairPool()
-        pooled = pool.get(BITS, seed=2017, index=3)
+        cached = pool.get(BITS, seed=2017, index=3)
         direct = generate_keypair(BITS, rng=HmacDrbg.from_int(signup_drbg_seed(2017, 3)))
-        assert pooled.public == direct.public
-        assert pooled.private == direct.private
+        assert cached.public == direct.public
+        assert cached.private == direct.private
 
     def test_memory_hit_returns_same_object(self):
         pool = KeypairPool()
@@ -59,25 +58,6 @@ class TestKeypairPool:
         regenerated = cold.get(BITS, seed=9, index=0)
         assert cold.stats["generated"] == 1
         assert regenerated.private == original.private  # deterministic redo
-
-    def test_prefetch_counts_and_idempotence(self, tmp_path):
-        pool = KeypairPool(str(tmp_path))
-        assert pool.prefetch(BITS, seed=5, indices=range(3)) == 3
-        assert pool.prefetch(BITS, seed=5, indices=range(3)) == 0
-        later = KeypairPool(str(tmp_path))
-        assert later.prefetch(BITS, seed=5, indices=range(3)) == 0  # disk warm
-        assert later.stats["disk_hits"] == 3
-
-    def test_parallel_prefetch_matches_serial(self):
-        serial = KeypairPool()
-        serial.prefetch(BITS, seed=7, indices=range(4), workers=1)
-        parallel = KeypairPool()
-        parallel.prefetch(BITS, seed=7, indices=range(4), workers=2)
-        for index in range(4):
-            assert (
-                parallel.get(BITS, seed=7, index=index).private
-                == serial.get(BITS, seed=7, index=index).private
-            )
 
 
 class TestProvisionUser:
@@ -154,34 +134,11 @@ class TestProvisionUser:
         assert len(calls) == 2  # retried, not silently dropped
         assert not keystore.materialized
 
-    def test_pooled_uses_the_pool(self, tmp_path):
-        pool = KeypairPool(str(tmp_path))
-        signup = provision_user(
-            self._cloud(),
-            "alice",
-            seed=2,
-            index=0,
-            now=0.0,
-            key_bits=1024,
-            mode="pooled",
-            pool=pool,
-        )
-        assert pool.stats["generated"] == 1
-        assert signup.keystore.private_key == pool.get(1024, 2, 0).private
-
 
 class TestConfigValidation:
-    def test_sos_config_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="provisioning"):
-            SosConfig(provisioning="telepathy")
-
     def test_scenario_config_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="provisioning"):
+        with pytest.raises(ValueError, match=r"provisioning .*\('eager', 'lazy'\)"):
             ScenarioConfig(provisioning="telepathy")
-
-    def test_scenario_config_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="provisioning_workers"):
-            ScenarioConfig(provisioning_workers=0)
 
     def test_density_sweep_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
@@ -191,7 +148,7 @@ class TestConfigValidation:
 class TestStudyIntegration:
     BASE = dict(num_users=4, duration_days=1, total_posts=12, seed=77)
 
-    def test_three_modes_trace_identical(self, tmp_path):
+    def test_eager_and_lazy_trace_identical(self, tmp_path):
         traces = {}
         materialized = {}
         for mode in PROVISIONING_MODES:
@@ -201,44 +158,52 @@ class TestStudyIntegration:
             result = study.run()
             traces[mode] = trace_lines(study.sim)
             materialized[mode] = result.security_stats["keystores_materialized"]
-        assert traces["eager"] == traces["pooled"] == traces["lazy"]
+        assert traces["eager"] == traces["lazy"]
         assert any("|message|" in line for line in traces["eager"])
         assert materialized["eager"] == self.BASE["num_users"]
         assert materialized["lazy"] <= self.BASE["num_users"]
 
-    def test_pooled_study_reuses_disk_cache(self, tmp_path):
+    def test_lazy_study_reuses_disk_cache(self, tmp_path, monkeypatch):
+        """A warm key cache serves every lazy key from disk, and the pool
+        counts each lookup exactly once, inside ``KeypairPool.get`` — the
+        accounting perfbench cross-checks against its ``get`` spans."""
+        calls = []
+        original_get = KeypairPool.get
+
+        def counting_get(pool, bits, seed, index):
+            calls.append(index)
+            return original_get(pool, bits, seed, index)
+
+        monkeypatch.setattr(KeypairPool, "get", counting_get)
         config = ScenarioConfig(
-            provisioning="pooled", key_cache_dir=str(tmp_path), **self.BASE
+            provisioning="lazy", key_cache_dir=str(tmp_path), **self.BASE
         )
-        first = GainesvilleStudy(config)
-        first.build()
-        assert first.keypair_pool.stats["generated"] == self.BASE["num_users"]
-        second = GainesvilleStudy(config)
-        second.build()
-        assert second.keypair_pool.stats["generated"] == 0
-        assert second.keypair_pool.stats["disk_hits"] == self.BASE["num_users"]
+        runs = []
+        for _ in ("cold", "warm"):
+            calls.clear()
+            study = GainesvilleStudy(config)
+            result = study.run()
+            stats = dict(study.keypair_pool.stats)
+            assert sum(stats.values()) == len(calls)
+            runs.append((study, result, stats))
+        (_, _, cold), (warm_study, warm_result, warm) = runs
+        materialized = warm_result.security_stats["keystores_materialized"]
+        assert materialized > 0
+        assert cold["generated"] == materialized
+        assert warm["generated"] == 0
+        assert warm["disk_hits"] == materialized
+        eager = GainesvilleStudy(ScenarioConfig(provisioning="eager", **self.BASE))
+        eager.run()
+        assert trace_lines(warm_study.sim) == trace_lines(eager.sim)
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         base = ScenarioConfig(
             num_users=4, duration_days=1, total_posts=10, seed=31,
-            provisioning="pooled", key_cache_dir=str(tmp_path),
+            provisioning="lazy", key_cache_dir=str(tmp_path),
         )
         serial = DensitySweep(base_config=base, populations=(4, 5), workers=1)
         parallel = DensitySweep(base_config=base, populations=(4, 5), workers=2)
         assert serial.run() == parallel.run()
-
-    def test_parallel_sweep_with_pooled_workers(self, tmp_path):
-        """Regression: a pooled build inside a daemonic sweep worker must
-        fall back to in-process prefetch instead of trying to fork
-        grandchildren (the `--workers 2 --provisioning pooled` CLI combo)."""
-        base = ScenarioConfig(
-            num_users=4, duration_days=1, total_posts=8, seed=13,
-            provisioning="pooled", provisioning_workers=2,
-            key_cache_dir=str(tmp_path),
-        )
-        sweep = DensitySweep(base_config=base, populations=(4, 5), workers=2)
-        points = sweep.run()
-        assert [point.num_users for point in points] == [4, 5]
 
     def test_sweep_point_is_pure(self, tmp_path):
         config = ScenarioConfig(
