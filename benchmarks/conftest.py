@@ -20,13 +20,11 @@ world that diverged from the artifact every other lane gates against.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, Tuple
 
 import pytest
 
-from repro.bench.recorder import BenchRecorder
 from repro.bench.schema import BenchSchemaError, load_artifact
 from repro.bench.traceid import trace_sha256
 from repro.experiments import GainesvilleStudy, ScenarioConfig
@@ -90,20 +88,3 @@ def study():
 @pytest.fixture(scope="session")
 def study_result(study):
     return _default_study_result()[1]
-
-
-@pytest.fixture(scope="session")
-def bench_recorder():
-    """Session-wide measurement recorder.
-
-    Benches record their measured ratios/throughputs here so the
-    numbers land in the machine-readable trajectory instead of only in
-    printed tables.  When ``$REPRO_BENCH_OUT`` names a path, the
-    artifact is written at session end (CI sets it; plain local runs
-    leave no stray files).
-    """
-    recorder = BenchRecorder(suite="pytest")
-    yield recorder
-    destination = os.environ.get("REPRO_BENCH_OUT")
-    if destination and len(recorder):
-        recorder.write(Path(destination))

@@ -1,34 +1,30 @@
-"""Benchmark orchestration: declarative suites, trajectory artifacts.
+"""The trace-sha baseline: built-in suites, artifacts and their gate.
 
-The repo's optimisation history (batched medium, session crypto,
-provisioning, bulk bootstrap) reports its speedups in prose tables and
-coarse in-test ratio asserts.  This package turns them into a
-machine-readable *trajectory*:
+The committed ``BENCH_default.json`` records, for every point of the
+built-in ``default`` suite, the config, wall/CPU time, peak RSS and the
+sha256 of the run's full trace.  The shas are this repo's evidence that
+an optimisation kept the simulated behaviour; the gate checks a fresh
+artifact against them.  Timing with repetitions and the per-layer cost
+split live in ``perfbench/``.
 
-* :mod:`repro.bench.suites`   — declarative suite configs (a suite is a
-  list of named runs, each a ``ScenarioConfig`` override dict plus a
-  repetition count; built-ins ``smoke``/``default``, JSON-loadable).
-* :mod:`repro.bench.runner`   — a resumable runner: executes points,
-  skips already-completed ones via an on-disk journal, samples per-run
-  CPU/RSS/wall time and emits a versioned ``BENCH_<suite>.json``.
-* :mod:`repro.bench.sampler`  — resource sampling with a psutil backend
-  when available and ``resource``/``/proc`` fallbacks so the
-  dependency-free lane still works.
-* :mod:`repro.bench.report`   — consolidates every ``BENCH_*.json``
-  into a cross-PR markdown/JSON trend table.
-* :mod:`repro.bench.check`    — the regression gate: fails on
-  configurable slowdowns against a baseline artifact and on
-  trace-sha256 divergence (a determinism regression).
-* :mod:`repro.bench.recorder` — lets the pytest benchmarks record their
-  measured ratios into the same artifact format.
+* :mod:`repro.bench.suites`  — the built-in ``smoke``/``default`` suites
+  (a suite is a list of named runs, each a ``ScenarioConfig`` override
+  dict plus a repetition count).
+* :mod:`repro.bench.runner`  — runs every point, samples it and emits a
+  versioned ``BENCH_<suite>.json``.
+* :mod:`repro.bench.sampler` — wall time, total CPU (children included)
+  and peak RSS of one run.
+* :mod:`repro.bench.schema`  — the artifact layout and its validator.
+* :mod:`repro.bench.check`   — the regression gate: fails on slowdowns
+  against a baseline artifact and on a trace sha that diverged or is
+  missing.
+* :mod:`repro.bench.traceid` — the canonical trace rendering and its
+  sha256.
 
-CLI: ``repro bench run|report|check|list``.
+CLI: ``repro bench run|check|list``.
 """
 
 from repro.bench.check import CheckReport, compare_artifacts
-from repro.bench.journal import Journal
-from repro.bench.recorder import BenchRecorder
-from repro.bench.report import consolidate, render_markdown
 from repro.bench.runner import run_suite
 from repro.bench.sampler import ResourceSampler, SampleResult
 from repro.bench.schema import (
@@ -43,22 +39,18 @@ from repro.bench.suites import BenchRun, BenchSuite, builtin_suite_names, load_s
 from repro.bench.traceid import trace_lines, trace_sha256
 
 __all__ = [
-    "BenchRecorder",
     "BenchRun",
     "BenchSchemaError",
     "BenchSuite",
     "CheckReport",
-    "Journal",
     "ResourceSampler",
     "SCHEMA_VERSION",
     "SampleResult",
     "builtin_suite_names",
     "compare_artifacts",
-    "consolidate",
     "dump_artifact",
     "load_artifact",
     "new_artifact",
-    "render_markdown",
     "run_suite",
     "trace_lines",
     "trace_sha256",

@@ -3,16 +3,18 @@
 Compares a current artifact against a baseline on their shared
 ``(run, repetition)`` keys with two independent checks:
 
-* **slowdown** — a timing metric (``cpu_s`` by default; wall time is
-  noisier) may grow by at most ``threshold`` relative to the baseline
-  (``0.5`` = fail beyond 1.5x).  Points whose baseline *and* current
-  values both sit under ``min_seconds`` are skipped — a 5 ms point
-  doubling is measurement noise, not a regression.
+* **slowdown** — ``cpu_s`` (wall time is noisier) may grow by at most
+  ``threshold`` relative to the baseline (``0.5`` = fail beyond 1.5x).
+  Points whose baseline *and* current values both sit under
+  :data:`MIN_SECONDS` are skipped — a 5 ms point doubling is
+  measurement noise, not a regression.
 * **trace divergence** — shared runs whose configs match must carry
   identical ``trace_sha256``.  Unlike timings this comparison is exact
   and host-independent: a mismatch means the simulation itself changed
   behaviour for a fixed seed, which is either an intentional
   re-baseline (update the committed artifact) or a determinism bug.
+  A point with no sha on either side fails too: it cannot show that
+  its trace is unchanged.
 * **config drift** — a shared ``(run, repetition)`` key whose configs
   differ fails the gate: the suite definition and the baseline disagree,
   so the baseline no longer says anything about that point.
@@ -33,8 +35,12 @@ from repro.bench.schema import runs_by_key
 
 #: Default allowed relative slowdown (0.5 == fail beyond 1.5x).
 DEFAULT_THRESHOLD = 0.5
+#: The timing metric the gate judges.
+METRIC = "cpu_s"
 #: Points faster than this in both artifacts are never judged.
-DEFAULT_MIN_SECONDS = 0.05
+MIN_SECONDS = 0.05
+
+_FAILED = ("slow", "trace-mismatch", "trace-missing", "config-drift")
 
 
 @dataclass
@@ -43,21 +49,20 @@ class CheckEntry:
 
     name: str
     repetition: int
-    status: str  # "ok" | "slow" | "trace-mismatch" | "skipped-small" | "config-drift"
+    status: str  # "ok" | "skipped-small" or one of _FAILED
     detail: str = ""
     baseline: float = 0.0
     current: float = 0.0
 
     @property
     def failed(self) -> bool:
-        return self.status in ("slow", "trace-mismatch", "config-drift")
+        return self.status in _FAILED
 
 
 @dataclass
 class CheckReport:
     """The gate's verdict over every shared point."""
 
-    metric: str
     threshold: float
     entries: List[CheckEntry] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -76,7 +81,7 @@ class CheckReport:
 
     def render(self) -> str:
         lines = [
-            f"bench check: metric={self.metric} threshold=+{self.threshold * 100:.0f}%"
+            f"bench check: metric={METRIC} threshold=+{self.threshold * 100:.0f}%"
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -92,7 +97,7 @@ class CheckReport:
                     f"  FAIL  {label}: {entry.baseline:.3f} -> {entry.current:.3f} "
                     f"({_ratio(entry):+.1f}% > +{self.threshold * 100:.0f}%)"
                 )
-            elif entry.status in ("trace-mismatch", "config-drift"):
+            elif entry.failed:
                 lines.append(f"  FAIL  {label}: {entry.detail}")
             else:
                 lines.append(f"  skip  {label}: {entry.detail}")
@@ -114,16 +119,13 @@ def _ratio(entry: CheckEntry) -> float:
 def compare_artifacts(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
-    metric: str = "cpu_s",
     threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-    check_traces: bool = True,
 ) -> CheckReport:
     """Gate ``current`` against ``baseline`` (both validated artifact
     dicts); returns a :class:`CheckReport` whose ``ok`` decides CI."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    report = CheckReport(metric=metric, threshold=threshold)
+    if not threshold >= 0:  # also rejects NaN
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    report = CheckReport(threshold=threshold)
     cur_host = current.get("host", {}).get("fingerprint")
     base_host = baseline.get("host", {}).get("fingerprint")
     if cur_host != base_host:
@@ -145,36 +147,42 @@ def compare_artifacts(
                 )
             )
             continue
-        if check_traces:
-            base_sha, cur_sha = base["trace_sha256"], cur["trace_sha256"]
-            if base_sha and cur_sha and base_sha != cur_sha:
-                report.entries.append(
-                    CheckEntry(
-                        name, repetition, "trace-mismatch",
-                        detail=f"trace sha256 diverged ({base_sha[:12]} -> "
-                        f"{cur_sha[:12]}): behaviour changed for a fixed seed "
-                        "— re-baseline deliberately or fix the determinism bug",
-                    )
+        base_sha, cur_sha = base.get("trace_sha256"), cur.get("trace_sha256")
+        if not (base_sha and cur_sha):
+            report.entries.append(
+                CheckEntry(
+                    name, repetition, "trace-missing",
+                    detail="trace sha256 missing on one side: "
+                    "trace equality cannot be shown",
                 )
-                continue
-        base_value = base["metrics"].get(metric)
-        cur_value = cur["metrics"].get(metric)
+            )
+            continue
+        if base_sha != cur_sha:
+            report.entries.append(
+                CheckEntry(
+                    name, repetition, "trace-mismatch",
+                    detail=f"trace sha256 diverged ({base_sha[:12]} -> "
+                    f"{cur_sha[:12]}): behaviour changed for a fixed seed "
+                    "— re-baseline deliberately or fix the determinism bug",
+                )
+            )
+            continue
+        base_value = base["metrics"].get(METRIC)
+        cur_value = cur["metrics"].get(METRIC)
         if base_value is None or cur_value is None:
             report.entries.append(
                 CheckEntry(
                     name, repetition, "skipped-small",
-                    detail=f"metric {metric!r} absent from one side",
+                    detail=f"metric {METRIC!r} absent from one side",
                 )
             )
             continue
         entry = CheckEntry(
             name, repetition, "ok", baseline=float(base_value), current=float(cur_value)
         )
-        if base_value < min_seconds and cur_value < min_seconds:
+        if base_value < MIN_SECONDS and cur_value < MIN_SECONDS:
             entry.status = "skipped-small"
-            entry.detail = (
-                f"both under min_seconds={min_seconds}: too small to judge"
-            )
+            entry.detail = f"both under {MIN_SECONDS}s: too small to judge"
         elif base_value > 0 and cur_value > base_value * (1.0 + threshold):
             entry.status = "slow"
         report.entries.append(entry)

@@ -1,11 +1,8 @@
-"""The resumable suite runner.
+"""The suite runner.
 
-Executes every ``(run, repetition)`` point of a suite that the journal
-does not already hold, sampling CPU/RSS/wall time per point and hashing
-the run's full trace stream, then assembles the versioned
-``BENCH_<suite>.json`` artifact.  Interrupt it anywhere; rerunning
-skips the completed points and produces the identical artifact content
-(modulo timings and the informational environment blocks).
+Executes every ``(run, repetition)`` point of a suite, sampling
+CPU/RSS/wall time per point and hashing the run's full trace stream,
+then writes the versioned ``BENCH_<suite>.json`` artifact.
 
 Each point is measured on a freshly built
 :class:`~repro.experiments.gainesville.GainesvilleStudy`, so the wall
@@ -19,19 +16,17 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from repro.bench import schema
-from repro.bench.journal import Journal
 from repro.bench.sampler import ResourceSampler
-from repro.bench.suites import BenchSuite, scenario_config
+from repro.bench.suites import BenchSuite
 from repro.bench.traceid import trace_sha256
 
 
 class BenchRunError(RuntimeError):
-    """A suite execution violated a bench contract (e.g. two
-    repetitions of one run diverged — a determinism regression)."""
+    """Two repetitions of one run diverged — a determinism regression."""
 
 
 def _domain_metrics(result) -> Dict[str, float]:
-    """Simulation-side quantities worth trending alongside timings."""
+    """Simulation-side quantities recorded alongside timings."""
     out: Dict[str, float] = {
         "unique_messages": float(result.unique_messages),
         "disseminations": float(result.disseminations),
@@ -43,16 +38,12 @@ def _domain_metrics(result) -> Dict[str, float]:
     return out
 
 
-def run_point(config_overrides: Dict[str, Any], backend: Optional[str] = None):
-    """Build + run one scenario under the sampler.
-
-    Returns ``(metrics, trace_sha)`` — the artifact fragments for one
-    journal entry.
-    """
+def run_point(config):
+    """Build + run one ``ScenarioConfig`` under the sampler; returns
+    ``(metrics, trace_sha)``."""
     from repro.experiments.gainesville import GainesvilleStudy
 
-    config = scenario_config(config_overrides)
-    with ResourceSampler(backend=backend) as sampler:
+    with ResourceSampler() as sampler:
         study = GainesvilleStudy(config)
         result = study.run()
     metrics = sampler.result.metrics()
@@ -63,66 +54,45 @@ def run_point(config_overrides: Dict[str, Any], backend: Optional[str] = None):
 
 def run_suite(
     suite: BenchSuite,
-    journal_dir: Path,
     out_path: Optional[Path] = None,
-    fresh: bool = False,
-    backend: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
-    repo_root: Optional[Path] = None,
 ) -> Dict[str, Any]:
-    """Run ``suite`` resumably and write ``BENCH_<suite>.json``.
+    """Run ``suite`` and write ``BENCH_<suite>.json``.
 
     Returns the artifact dict.  ``out_path`` defaults to
-    ``BENCH_<suite>.json`` in the current directory; ``fresh`` discards
-    the journal first; ``backend`` pins the sampler memory backend.
+    ``BENCH_<suite>.json`` in the current directory.  Every run's
+    config is built before the first point executes, so a bad override
+    fails at once rather than mid-suite.
     """
+    from repro.experiments.scenario import ScenarioConfig
+
     emit = log or (lambda message: None)
-    suite.validate_configs()
-    journal = Journal(Path(journal_dir), suite.name)
-    if fresh:
-        journal.clear()
-    sampler_backend = ResourceSampler(backend=backend).backend
+    configs = [ScenarioConfig(**run.config) for run in suite.runs]
     total = sum(run.repetitions for run in suite.runs)
     done = 0
-    shas_by_run: Dict[str, str] = {}
     entries = []
-    for run in suite.runs:
+    for run, config in zip(suite.runs, configs):
+        first_sha = None
         for repetition in range(run.repetitions):
             done += 1
-            cached = journal.completed(run.name, repetition, run.config)
-            if cached is not None:
-                emit(f"[{done}/{total}] {run.name}#{repetition}: journaled, skipping")
-                entry = cached
-            else:
-                emit(f"[{done}/{total}] {run.name}#{repetition}: running...")
-                metrics, sha = run_point(run.config, backend=backend)
-                entry = journal.record(run.name, repetition, run.config, metrics, sha)
-                emit(
-                    f"[{done}/{total}] {run.name}#{repetition}: "
-                    f"wall={metrics['wall_s']:.2f}s cpu={metrics['cpu_s']:.2f}s "
-                    f"trace={sha[:12]}"
-                )
-            sha = entry["trace_sha256"]
-            previous = shas_by_run.setdefault(run.name, sha)
-            if previous != sha:
+            emit(f"[{done}/{total}] {run.name}#{repetition}: running...")
+            metrics, sha = run_point(config)
+            emit(
+                f"[{done}/{total}] {run.name}#{repetition}: "
+                f"wall={metrics['wall_s']:.2f}s cpu={metrics['cpu_s']:.2f}s "
+                f"trace={sha[:12]}"
+            )
+            first_sha = first_sha or sha
+            if sha != first_sha:
                 raise BenchRunError(
                     f"run {run.name!r} produced different traces across "
-                    f"repetitions ({previous[:12]} vs {sha[:12]}) — "
-                    "determinism regression; journal kept at "
-                    f"{journal.path} for inspection"
+                    f"repetitions ({first_sha[:12]} vs {sha[:12]}) — "
+                    "determinism regression"
                 )
             entries.append(
-                schema.make_run_entry(
-                    run.name,
-                    repetition,
-                    entry["config"],
-                    entry["metrics"],
-                    entry["trace_sha256"],
-                )
+                schema.make_run_entry(run.name, repetition, run.config, metrics, sha)
             )
-    artifact = schema.new_artifact(
-        suite.name, runs=entries, sampler=sampler_backend, repo_root=repo_root
-    )
+    artifact = schema.new_artifact(suite.name, runs=entries)
     destination = Path(out_path) if out_path else Path(f"BENCH_{suite.name}.json")
     schema.dump_artifact(artifact, destination)
     emit(f"wrote {destination} ({len(entries)} runs)")

@@ -1,32 +1,27 @@
 """Per-run resource sampling.
 
-One context manager measures a run's wall time, CPU time and memory.
-CPU and wall clocks come from :mod:`time` (always available); the
-memory side degrades gracefully across three backends so the
-dependency-free lane still works:
+One context manager measures a run's wall time, total CPU time and
+peak memory:
 
-* ``psutil``   — ``Process().memory_info().rss`` (preferred when the
-  package is importable),
-* ``proc``     — ``/proc/self/status`` ``VmRSS``/``VmHWM`` (Linux),
-* ``resource`` — ``getrusage(RUSAGE_SELF).ru_maxrss`` (POSIX; the
-  high-water mark only, so the current-RSS reading is absent),
-* ``none``     — memory metrics omitted entirely.
+* ``wall_s``     — :func:`time.perf_counter` across the block,
+* ``cpu_s``      — :func:`os.times` user + system of this process *plus*
+  every child it reaped, so a run that forks workers reports the CPU
+  they spent (the same formula as ``perfbench/world.py``),
+* ``max_rss_kb`` — ``getrusage(RUSAGE_SELF).ru_maxrss`` at exit.
 
-The backend is auto-detected once per sampler but injectable
-(``ResourceSampler(backend="resource")``) so tests can exercise every
-fallback on any host.  Note the high-water-mark caveat: ``max_rss_kb``
-is a *process* peak, monotone over the process lifetime — comparable
-across fresh CLI invocations (how the runner is used), not across runs
-inside one long-lived process.
+``max_rss_kb`` is a *process* peak, monotone over the process lifetime:
+comparable across fresh CLI invocations (how the runner is used), not
+across runs inside one long-lived process.
 """
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
-
-BACKENDS = ("psutil", "proc", "resource", "none")
 
 
 @dataclass(frozen=True)
@@ -35,118 +30,45 @@ class SampleResult:
 
     wall_s: float
     cpu_s: float
-    backend: str
-    rss_kb: Optional[int] = None
-    max_rss_kb: Optional[int] = None
+    max_rss_kb: int
 
     def metrics(self) -> Dict[str, float]:
-        """The artifact ``metrics`` fragment (absent readings omitted)."""
-        out: Dict[str, float] = {
+        """The artifact ``metrics`` fragment."""
+        return {
             "wall_s": round(self.wall_s, 6),
             "cpu_s": round(self.cpu_s, 6),
+            "max_rss_kb": float(self.max_rss_kb),
         }
-        if self.rss_kb is not None:
-            out["rss_kb"] = float(self.rss_kb)
-        if self.max_rss_kb is not None:
-            out["max_rss_kb"] = float(self.max_rss_kb)
-        return out
 
 
-def _psutil_available() -> bool:
-    try:
-        import psutil  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def total_cpu_s() -> float:
+    """CPU seconds of this process and its reaped children."""
+    times = os.times()
+    return times.user + times.system + times.children_user + times.children_system
 
 
-def _proc_status_kb() -> Optional[Dict[str, int]]:
-    """VmRSS/VmHWM from /proc/self/status, or None off-Linux."""
-    try:
-        text = open("/proc/self/status", "r", encoding="ascii").read()
-    except OSError:
-        return None
-    out: Dict[str, int] = {}
-    for line in text.splitlines():
-        for key in ("VmRSS", "VmHWM"):
-            if line.startswith(key + ":"):
-                parts = line.split()
-                if len(parts) >= 2 and parts[1].isdigit():
-                    out[key] = int(parts[1])
-    return out or None
-
-
-def detect_backend() -> str:
-    """The best memory backend this interpreter/host supports."""
-    if _psutil_available():
-        return "psutil"
-    if _proc_status_kb() is not None:
-        return "proc"
-    try:
-        import resource  # noqa: F401
-    except ImportError:
-        return "none"
-    return "resource"
+def max_rss_kb() -> int:
+    """This process's peak RSS in KB (Linux reports KB, macOS bytes)."""
+    peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    return peak // 1024 if sys.platform == "darwin" else peak
 
 
 class ResourceSampler:
     """``with ResourceSampler() as sampler: ...; sampler.result``."""
 
-    def __init__(self, backend: Optional[str] = None) -> None:
-        if backend is not None and backend not in BACKENDS:
-            raise ValueError(f"unknown sampler backend {backend!r} (one of {BACKENDS})")
-        self.backend = backend or detect_backend()
+    def __init__(self) -> None:
         self.result: Optional[SampleResult] = None
         self._wall0 = 0.0
         self._cpu0 = 0.0
 
     def __enter__(self) -> "ResourceSampler":
         self._wall0 = time.perf_counter()
-        self._cpu0 = time.process_time()
+        self._cpu0 = total_cpu_s()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        wall_s = time.perf_counter() - self._wall0
-        cpu_s = time.process_time() - self._cpu0
-        rss_kb, max_rss_kb = self._memory_kb()
         self.result = SampleResult(
-            wall_s=wall_s,
-            cpu_s=cpu_s,
-            backend=self.backend,
-            rss_kb=rss_kb,
-            max_rss_kb=max_rss_kb,
+            wall_s=time.perf_counter() - self._wall0,
+            cpu_s=total_cpu_s() - self._cpu0,
+            max_rss_kb=max_rss_kb(),
         )
-
-    def _memory_kb(self):
-        if self.backend == "psutil":
-            try:
-                import psutil
-
-                info = psutil.Process().memory_info()
-                rss_kb = int(info.rss // 1024)
-                # ru_maxrss still gives the peak; psutil adds current RSS.
-                import resource
-
-                max_rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-                return rss_kb, max_rss
-            except (ImportError, OSError):
-                return None, None
-        if self.backend == "proc":
-            status = _proc_status_kb()
-            if status is None:
-                return None, None
-            return status.get("VmRSS"), status.get("VmHWM")
-        if self.backend == "resource":
-            try:
-                import resource
-
-                # Linux reports kilobytes; macOS reports bytes.
-                max_rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-                import sys
-
-                if sys.platform == "darwin":
-                    max_rss //= 1024
-                return None, max_rss
-            except (ImportError, OSError):
-                return None, None
-        return None, None

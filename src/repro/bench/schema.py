@@ -16,8 +16,7 @@ Top-level layout (version ``repro-bench/1``)::
         "fingerprint": "9f2c4e1a0b3d5f67",       # stable hash of platform
         "platform": "Linux-...-x86_64",
         "python": "3.11.7",
-        "cpu_count": 8,
-        "sampler": "proc"                        # memory backend used
+        "cpu_count": 8
       },
       "runs": [
         {
@@ -25,7 +24,7 @@ Top-level layout (version ``repro-bench/1``)::
           "repetition": 0,
           "config": {"duration_days": 1, ...},   # ScenarioConfig overrides
           "metrics": {"wall_s": 7.1, "cpu_s": 7.0, "max_rss_kb": 48000, ...},
-          "trace_sha256": "ab34..." | null       # null for recorder entries
+          "trace_sha256": "ab34..."              # 64 lowercase hex chars
         }, ...
       ]
     }
@@ -43,6 +42,7 @@ import json
 import hashlib
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,9 +52,7 @@ from typing import Any, Dict, List, Optional
 #: :func:`validate_artifact` about the migration.
 SCHEMA_VERSION = "repro-bench/1"
 
-#: Metrics every runner-produced run carries (recorder entries may carry
-#: an arbitrary subset — a ratio measurement has no RSS).
-CORE_METRICS = ("wall_s", "cpu_s")
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 class BenchSchemaError(ValueError):
@@ -74,23 +72,21 @@ def host_fingerprint() -> str:
     return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
-def host_info(sampler: str = "unknown") -> Dict[str, Any]:
+def host_info() -> Dict[str, Any]:
     """The ``host`` block of a new artifact."""
     return {
         "fingerprint": host_fingerprint(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count() or 0,
-        "sampler": sampler,
     }
 
 
-def git_revision(repo_root: Optional[Path] = None) -> Optional[str]:
+def git_revision() -> Optional[str]:
     """The current git HEAD, or None outside a repo / without git."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=str(repo_root) if repo_root else None,
             capture_output=True,
             text=True,
             timeout=10,
@@ -116,16 +112,14 @@ def utc_stamp() -> str:
 def new_artifact(
     suite: str,
     runs: Optional[List[Dict[str, Any]]] = None,
-    sampler: str = "unknown",
-    repo_root: Optional[Path] = None,
 ) -> Dict[str, Any]:
     """A fresh artifact dict with the environment blocks filled in."""
     return {
         "schema": SCHEMA_VERSION,
         "suite": suite,
         "created_utc": utc_stamp(),
-        "git_rev": git_revision(repo_root),
-        "host": host_info(sampler),
+        "git_rev": git_revision(),
+        "host": host_info(),
         "runs": list(runs or []),
     }
 
@@ -135,7 +129,7 @@ def make_run_entry(
     repetition: int,
     config: Dict[str, Any],
     metrics: Dict[str, float],
-    trace_sha256: Optional[str],
+    trace_sha256: str,
 ) -> Dict[str, Any]:
     """One ``runs[]`` element (validated shape in one place)."""
     return {
@@ -192,9 +186,10 @@ def validate_artifact(data: Any) -> Dict[str, Any]:
                     f"got {type(value).__name__}"
                 )
         sha = run.get("trace_sha256")
-        if sha is not None and (not isinstance(sha, str) or len(sha) != 64):
+        if not isinstance(sha, str) or not _SHA256_HEX.fullmatch(sha):
             raise BenchSchemaError(
-                f"{where} 'trace_sha256' must be a 64-hex-char string or null"
+                f"{where} 'trace_sha256' must be a 64-hex-char lowercase string, "
+                f"got {sha!r}"
             )
         key = (run["name"], run["repetition"])
         if key in seen:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.bench.check import DEFAULT_THRESHOLD, compare_artifacts
 from repro.bench.schema import dump_artifact, make_run_entry, new_artifact
-from repro.cli import main
+from repro.cli import build_parser, main
 
 SHA_A = "ab" * 32
 SHA_B = "cd" * 32
@@ -21,7 +23,7 @@ def _artifact(points, suite="synthetic"):
         runs.append(
             make_run_entry(name, rep, config, {"wall_s": cpu_s, "cpu_s": cpu_s}, sha)
         )
-    return new_artifact(suite, runs=runs, sampler="proc")
+    return new_artifact(suite, runs=runs)
 
 
 BASELINE = [("a", 0, 2.0, SHA_A), ("a", 1, 2.1, SHA_A), ("b", 0, 4.0, SHA_B)]
@@ -51,6 +53,8 @@ class TestGateVerdicts:
         assert not compare_artifacts(current, baseline, threshold=0.2).ok
         with pytest.raises(ValueError, match="non-negative"):
             compare_artifacts(current, baseline, threshold=-0.1)
+        with pytest.raises(ValueError, match="non-negative"):
+            compare_artifacts(current, baseline, threshold=float("nan"))
 
     def test_min_seconds_skips_noise_floor_points(self):
         # A 3x slowdown on a 5ms point is noise, not a regression...
@@ -60,8 +64,6 @@ class TestGateVerdicts:
         assert report.entries[0].status == "skipped-small"
         # ...but a skip-only comparison still counts as compared work.
         assert report.compared == 1 and report.ok
-        # Lowering the floor judges the point again.
-        assert not compare_artifacts(current, baseline, min_seconds=0.001).ok
 
     def test_trace_mismatch_fails_even_when_faster(self):
         current = _artifact([("a", 0, 1.0, SHA_B)])
@@ -69,14 +71,21 @@ class TestGateVerdicts:
         report = compare_artifacts(current, baseline)
         assert not report.ok
         assert report.failures[0].status == "trace-mismatch"
-        # The escape hatch for deliberate re-baselines:
-        assert compare_artifacts(current, baseline, check_traces=False).ok
 
-    def test_null_trace_sides_skip_the_trace_check(self):
-        # Recorder-style entries carry no sha; only timing is judged.
-        current = _artifact([("ratio", 0, 2.0, None)])
-        baseline = _artifact([("ratio", 0, 2.0, SHA_A)])
-        assert compare_artifacts(current, baseline).ok
+    @pytest.mark.parametrize(
+        "current_sha,baseline_sha",
+        [(None, SHA_A), (SHA_A, None), (None, None)],
+        ids=["current", "baseline", "both"],
+    )
+    def test_missing_trace_sha_fails_the_gate(self, current_sha, baseline_sha):
+        # A point with no sha cannot show its trace is unchanged, even
+        # when it is next to a point that compares cleanly.
+        current = _artifact([("a", 0, 2.0, SHA_A), ("b", 0, 2.0, current_sha)])
+        baseline = _artifact([("a", 0, 2.0, SHA_A), ("b", 0, 2.0, baseline_sha)])
+        report = compare_artifacts(current, baseline)
+        assert not report.ok
+        assert [(e.name, e.status) for e in report.failures] == [("b", "trace-missing")]
+        assert "FAIL  b#0" in report.render()
 
     def test_config_drift_is_not_comparable(self):
         current = _artifact([("a", 0, 2.0, SHA_A, {"duration_days": 2})])
@@ -170,3 +179,35 @@ class TestCheckCli:
         broken.write_text("{not json")
         assert main(["bench", "check", str(broken), "--against", good]) == 2
         assert main(["bench", "check", good, "--against", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_bad_threshold_exits_2_with_one_line(self, tmp_path, capsys, threshold):
+        good = self._write(tmp_path, "good.json", _artifact(BASELINE))
+        argv = ["bench", "check", good, "--against", good, "--threshold", threshold]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "non-negative" in captured.err
+
+    def test_bench_has_four_settable_options(self):
+        def subcommands(parser):
+            (action,) = [
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            ]
+            return action.choices
+
+        bench = subcommands(build_parser())["bench"]
+        options = {
+            name: sorted(
+                action.option_strings[0]
+                for action in sub._actions
+                if action.option_strings and action.dest != "help"
+            )
+            for name, sub in subcommands(bench).items()
+        }
+        assert options == {
+            "run": ["--out", "--suite"],
+            "check": ["--against", "--threshold"],
+            "list": [],
+        }

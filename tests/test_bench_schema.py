@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import schema
@@ -26,9 +29,8 @@ def _artifact(**overrides):
                 "point_a", 1, {"duration_days": 1}, {"wall_s": 1.6, "cpu_s": 1.3},
                 "ab" * 32,
             ),
-            schema.make_run_entry("ratio", 0, {}, {"speedup_x": 3.5}, None),
+            schema.make_run_entry("ratio", 0, {}, {"speedup_x": 3.5}, "cd" * 32),
         ],
-        sampler="proc",
     )
     data.update(overrides)
     return data
@@ -54,7 +56,6 @@ class TestRoundTrip:
         artifact = _artifact()
         assert artifact["schema"] == schema.SCHEMA_VERSION
         assert len(artifact["host"]["fingerprint"]) == 16
-        assert artifact["host"]["sampler"] == "proc"
         # Inside this repo the git rev resolves to a 40-hex commit.
         rev = schema.git_revision()
         if rev is not None:
@@ -110,9 +111,30 @@ class TestValidation:
         with pytest.raises(BenchSchemaError, match="64-hex"):
             validate_artifact(artifact)
 
-    def test_null_trace_sha_is_legal(self):
-        # Recorder entries (ratio measurements) carry no trace.
-        validate_artifact(_artifact())
+    def test_rejects_null_trace_sha(self):
+        # Every run is a simulated point and carries its trace digest.
+        artifact = _artifact()
+        artifact["runs"][2]["trace_sha256"] = None
+        with pytest.raises(BenchSchemaError, match="64-hex"):
+            validate_artifact(artifact)
+
+    @pytest.mark.parametrize("sha", ["AB" * 32, "zz" * 32], ids=["upper", "non-hex"])
+    def test_rejects_non_lowercase_hex_trace_sha(self, sha):
+        artifact = _artifact()
+        artifact["runs"][2]["trace_sha256"] = sha
+        with pytest.raises(BenchSchemaError, match="64-hex"):
+            validate_artifact(artifact)
+
+    def test_rejects_absent_trace_sha(self):
+        artifact = _artifact()
+        del artifact["runs"][0]["trace_sha256"]
+        with pytest.raises(BenchSchemaError, match="trace_sha256"):
+            validate_artifact(artifact)
+
+    def test_committed_baseline_is_valid(self):
+        validate_artifact(
+            json.loads((Path(__file__).parent.parent / "BENCH_default.json").read_text())
+        )
 
     def test_rejects_negative_repetition(self):
         artifact = _artifact()
